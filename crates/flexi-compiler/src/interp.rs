@@ -1,10 +1,12 @@
 //! Direct interpreter for the walk mini-language.
 //!
-//! Executes a parsed `get_weight` with full runtime context. The test-suite
-//! uses this to prove that the DSL sources in [`crate::workloads`] compute
-//! *exactly* the same transition weights as the hand-written Rust workloads
-//! in `flexi-core` — the property that makes the compiler's analysis
-//! transferable to the real engine.
+//! Executes a parsed `get_weight` with full runtime context. It is the
+//! reference semantics of the language: the test-suite uses it to prove
+//! that the DSL sources in [`crate::workloads`] compute *exactly* the same
+//! transition weights as the hand-written Rust workloads in `flexi-core`,
+//! and that the slot-resolved kernels `flexi-core` compiles DSL walkers
+//! into agree with [`interpret_f32`] bit for bit. Walks never run through
+//! it.
 
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
 use std::collections::HashMap;
@@ -24,7 +26,7 @@ pub trait InterpEnv {
 }
 
 /// Iteration cap for `while` loops so hostile inputs cannot hang tests.
-const MAX_LOOP_ITERS: usize = 100_000;
+pub const MAX_LOOP_ITERS: usize = 100_000;
 
 /// Arithmetic precision the interpreter evaluates in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

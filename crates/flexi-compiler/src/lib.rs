@@ -20,10 +20,10 @@
 //!    exits, recursion, or warp intrinsics force the sound fallback to
 //!    eRVS-only mode with warnings (§5.2, §7.1).
 //!
-//! The [`interp`] module executes the parsed `get_weight` directly, which
-//! the test-suite uses to prove the DSL semantics match the hand-written
-//! Rust workloads, and [`workloads`] ships the paper's five evaluation
-//! workloads as DSL sources.
+//! The [`interp`] module executes the parsed `get_weight` directly: it is
+//! the reference semantics the test-suite checks the hand-written Rust
+//! workloads and `flexi-core`'s compiled DSL kernels against. [`workloads`]
+//! ships the paper's five evaluation workloads as DSL sources.
 
 pub mod analysis;
 pub mod ast;
@@ -38,7 +38,7 @@ pub use analysis::{
 };
 pub use ast::{BinOp, Expr, Program, Stmt, UnOp};
 pub use codegen::{AggKind, CompiledWalk, Estimator, EstimatorEnv, PreprocessRequest};
-pub use interp::{interpret, interpret_f32, interpret_with, InterpEnv, Precision};
+pub use interp::{interpret, interpret_f32, interpret_with, InterpEnv, Precision, MAX_LOOP_ITERS};
 pub use parser::parse_program;
 
 /// Errors raised while compiling a walk specification.

@@ -23,7 +23,6 @@
 //! interface every baseline in `flexi-baselines` also implements, which is
 //! what lets the benchmark harness iterate Table 2 over all systems.
 
-pub mod apps;
 pub mod energy;
 pub mod engine;
 pub mod multi_device;

@@ -24,11 +24,14 @@
 //!   [`EngineError::UnknownWalker`] / [`EngineError::WalkerCompile`]
 //!   errors instead of panics).
 //!
-//! DSL-defined walkers execute through the mini-language interpreter with
-//! f32-rounded arithmetic, so a DSL walker and a hand-written native twin
-//! computing the same formula produce **bit-identical paths**.
+//! DSL-defined walkers run as a slot-resolved kernel compiled at lower
+//! time (the `kernel` submodule) with the interpreter's f32-rounded
+//! arithmetic, so a DSL walker and a hand-written native twin computing
+//! the same formula produce **bit-identical paths**.
 //!
 //! [`WalkRequest`]: crate::engine::WalkRequest
+
+mod kernel;
 
 use crate::engine::{CompiledArtifacts, EngineError};
 use crate::workload::{
@@ -36,10 +39,11 @@ use crate::workload::{
     UniformWalk, WalkState,
 };
 use flexi_compiler::{
-    compile, interpret_f32, parse_program, references, BoundGranularity, CompileOutcome,
-    EstimatorEnv, InterpEnv, Program, RefInfo, WalkSpec,
+    compile, parse_program, references, BoundGranularity, CompileOutcome, EstimatorEnv, RefInfo,
+    WalkSpec,
 };
 use flexi_graph::{Csr, EdgeId};
+use kernel::Kernel;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -47,7 +51,7 @@ use std::sync::Arc;
 /// Where a walker's transition logic comes from.
 #[derive(Clone)]
 pub enum WalkerSource {
-    /// Mini-language `get_weight` source, compiled and interpreted.
+    /// Mini-language `get_weight` source, compiled into a kernel.
     Dsl(String),
     /// A pre-built walk specification (source + hyperparameters).
     Spec(WalkSpec),
@@ -205,8 +209,8 @@ impl WalkerDef {
 
     /// Lowers this definition through the one compilation pipeline: parse,
     /// analyze and generate estimators via `flexi_compiler::compile`, then
-    /// package the runnable walk (interpreted for DSL/Spec sources, the
-    /// implementation itself for native ones) together with the derived
+    /// package the runnable walk (a compiled kernel for DSL/Spec sources,
+    /// the implementation itself for native ones) together with the derived
     /// static analysis.
     ///
     /// # Errors
@@ -279,7 +283,7 @@ impl WalkerDef {
                     uses_label: refs.arrays.contains("label"),
                     uses_linked: refs.calls.contains("linked"),
                     uses_time: refs.frees.contains("edge_time"),
-                    program,
+                    kernel: Kernel::compile(&program, &spec.hyperparams, &self.arrays),
                     hyperparams: spec.hyperparams.clone(),
                     arrays: self.arrays.clone(),
                     preferred: self.preferred_steps,
@@ -338,7 +342,7 @@ impl WalkerDef {
             if !known {
                 return Err(format!(
                     "unknown variable {v:?}; bind it with WalkerDef::hyperparam or use one \
-                     of edge/cur/prev/has_prev/step/edge_time/walk_time"
+                     of edge/cur/prev/has_prev/step/iter/edge_time/walk_time"
                 ));
             }
         }
@@ -552,13 +556,13 @@ impl std::fmt::Debug for CompiledWalker {
     }
 }
 
-/// A DSL-defined workload: interprets the parsed `get_weight` with
+/// A DSL-defined workload: runs the compiled `get_weight` kernel with
 /// f32-rounded arithmetic, so it is bit-compatible with a hand-written
 /// native twin.
 struct DslWalk {
     name: String,
     source: String,
-    program: Program,
+    kernel: Kernel,
     hyperparams: Vec<(String, f64)>,
     arrays: Vec<(String, Vec<f64>)>,
     preferred: Option<usize>,
@@ -568,78 +572,13 @@ struct DslWalk {
     uses_time: bool,
 }
 
-/// Interpreter environment bridging one weight evaluation to the graph.
-struct DslEnv<'a> {
-    g: &'a Csr,
-    st: &'a WalkState,
-    edge: EdgeId,
-    walk: &'a DslWalk,
-}
-
-impl InterpEnv for DslEnv<'_> {
-    fn var(&self, name: &str) -> Option<f64> {
-        match name {
-            "edge" => Some(self.edge as f64),
-            "cur" => Some(f64::from(self.st.cur)),
-            "prev" => Some(f64::from(self.st.prev.unwrap_or(self.st.cur))),
-            "has_prev" => Some(if self.st.prev.is_some() { 1.0 } else { 0.0 }),
-            "step" | "iter" => Some(self.st.step as f64),
-            "edge_time" => Some(self.g.time(self.edge) as f64),
-            "walk_time" => Some(self.st.time as f64),
-            _ => self
-                .walk
-                .hyperparams
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v),
-        }
-    }
-
-    fn index(&self, array: &str, index: f64) -> Option<f64> {
-        if let Some((_, vals)) = self.walk.arrays.iter().find(|(n, _)| n == array) {
-            let i = index.max(0.0) as usize;
-            return Some(vals[i % vals.len()]);
-        }
-        let i = index.max(0.0) as usize;
-        match array {
-            "h" if i < self.g.num_edges() => Some(f64::from(self.g.prop(i))),
-            "adj" if i < self.g.num_edges() => Some(f64::from(self.g.edge_target(i))),
-            "label" if i < self.g.num_edges() => Some(f64::from(self.g.label(i))),
-            // Degrees are register-resident in the kernel; clamp to 1 so
-            // `1 / deg[..]` stays finite at sinks (matching the native
-            // workloads' `.max(1)`).
-            "deg" if i < self.g.num_nodes() => Some(self.g.degree(i as u32).max(1) as f64),
-            _ => None,
-        }
-    }
-
-    fn call(&self, name: &str, args: &[f64]) -> Option<f64> {
-        match (name, args) {
-            ("linked", [a, b]) => Some(f64::from(self.g.has_edge(*a as u32, *b as u32))),
-            // The interpreter rounds only arithmetic results, so the hook
-            // quantizes itself — keeping DSL walks bit-identical to native
-            // twins that round after every operation.
-            ("exp", [x]) => Some(f64::from(x.exp() as f32)),
-            _ => None,
-        }
-    }
-}
-
 impl DynamicWalk for DslWalk {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn weight(&self, g: &Csr, st: &WalkState, edge: EdgeId) -> f32 {
-        let env = DslEnv {
-            g,
-            st,
-            edge,
-            walk: self,
-        };
-        // References were validated at lower time; a residual runtime
-        // failure (out-of-range index on a hostile graph) masks the edge.
-        interpret_f32(&self.program, &env).unwrap_or(0.0) as f32
+        self.kernel.weight(g, st, edge)
     }
 
     fn bytes_per_weight(&self, g: &Csr) -> usize {
@@ -751,7 +690,7 @@ impl WalkerRegistry {
     }
 
     /// The built-ins defined from their canonical DSL specs instead of the
-    /// native structs — every entry lowers to an interpreted walker that
+    /// native structs — every entry lowers to a compiled DSL walker that
     /// is bit-identical to its [`WalkerRegistry::builtin`] twin. Used by
     /// the round-trip test-suite and as a template for DSL-first setups.
     pub fn builtin_dsl() -> Self {
@@ -1179,6 +1118,10 @@ mod tests {
             (
                 "get_weight(edge) { return h[edge] * mystery; }",
                 "unknown variable",
+            ),
+            (
+                "get_weight(edge) { return h[edge] * mystery; }",
+                "step/iter/edge_time",
             ),
         ] {
             let err = WalkerDef::dsl("x", src).lower().unwrap_err();

@@ -743,7 +743,7 @@ mod tests {
                 (array == "h").then(|| f64::from(self.g.prop(index as usize)))
             }
             fn call(&self, name: &str, args: &[f64]) -> Option<f64> {
-                // The engine's env quantizes exp itself: the interpreter
+                // DSL walkers round exp themselves: the interpreter
                 // rounds only arithmetic results, not call results.
                 match (name, args) {
                     ("exp", [x]) => Some(f64::from(x.exp() as f32)),
